@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   args.add_int("l1-words", 4096, "per-worker private cache size in words");
   args.add_int("llc-words", 32768, "shared LLC size in words (0 = none)");
   args.add_int("llc-shards", 0,
-               "LLC lock stripes (power of two; 0 = single-mutex flat LLC)");
+               "LLC lock stripes (power of two; 0 = one stripe)");
   args.add_int("plan-words", 1024, "cache share M each tenant plans for");
   args.add_int("ticks", 64, "arrival ticks to serve");
   args.add_string("arrival", "bursty-64", "arrival pattern (ArrivalRegistry key)");

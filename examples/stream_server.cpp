@@ -3,17 +3,17 @@
 //   $ ./stream_server [--cache-words=4096] [--ticks=64] [--arrival=bursty-64]
 //                     [--tenant-policy=round-robin]
 //
-// Demonstrates: core::Server admitting multiple core::Stream sessions over
-// one shared CacheSim, tenant multiplexing policies (round-robin vs
-// miss-aware), and the cache-interference story at serving scale -- each
-// tenant's misses under contention vs the same tenant served solo on the
-// same geometry.
+// Demonstrates: a one-worker core::Cluster with no LLC admitting multiple
+// core::Stream sessions over one shared cache, tenant multiplexing policies
+// (round-robin vs miss-aware), and the cache-interference story at serving
+// scale -- each tenant's misses under contention vs the same tenant served
+// solo on the same geometry.
 
 #include <iostream>
 #include <vector>
 
+#include "core/cluster.h"
 #include "core/planner.h"
-#include "core/server.h"
 #include "util/args.h"
 #include "util/table.h"
 #include "workloads/arrivals.h"
@@ -27,27 +27,30 @@ struct TenantSpec {
   ccs::partition::Partition partition;
 };
 
-/// Runs the whole serving scenario and returns the report.
-ccs::core::ServerReport serve(const std::vector<TenantSpec>& specs,
-                              const ccs::iomodel::CacheConfig& cache, std::int64_t m,
-                              const std::string& tenant_policy,
-                              const ccs::workloads::ArrivalPattern& arrival,
-                              std::int64_t ticks) {
+/// Runs the whole serving scenario on one shared cache (a one-worker
+/// cluster with no LLC) and returns the report.
+ccs::core::ClusterReport serve(const std::vector<TenantSpec>& specs,
+                               const ccs::iomodel::CacheConfig& cache, std::int64_t m,
+                               const std::string& tenant_policy,
+                               const ccs::workloads::ArrivalPattern& arrival,
+                               std::int64_t ticks) {
   using namespace ccs;
-  core::ServerOptions opts;
-  opts.cache = cache;
+  core::ClusterOptions opts;
+  opts.workers = 1;
+  opts.l1 = cache;
+  opts.llc_words = 0;
   opts.tenant_policy = tenant_policy;
-  core::Server server(opts);
+  core::Cluster cluster(opts);
   for (const TenantSpec& spec : specs) {
-    server.admit(spec.name, spec.graph, spec.partition, {}, m);
+    cluster.admit(spec.name, spec.graph, spec.partition, {}, m);
   }
   for (std::int64_t tick = 0; tick < ticks; ++tick) {
     const std::int64_t items = arrival(tick);
-    for (core::TenantId t = 0; t < server.tenant_count(); ++t) server.push(t, items);
-    server.run_until_idle();
+    for (core::TenantId t = 0; t < cluster.tenant_count(); ++t) cluster.push(t, items);
+    cluster.run_until_idle();
   }
-  server.drain_all();
-  return server.report();
+  cluster.drain_all();
+  return cluster.report();
 }
 
 }  // namespace
@@ -107,7 +110,7 @@ int main(int argc, char** argv) {
 
     std::cout << "\naggregate: " << report.aggregate.cache.misses << " misses over "
               << report.steps << " multiplexing decisions; per-tenant counters sum to "
-              << "the shared cache's " << report.shared_cache.misses << " misses\n"
+              << "the shared cache's " << report.workers.front().l1.misses << " misses\n"
               << "Interference > 1x is the cache-contention cost of co-residency the\n"
                  "paper's single-application model abstracts away; miss-aware\n"
                  "multiplexing (--tenant-policy=miss-aware) trades fairness for it.\n";

@@ -318,6 +318,12 @@ Cluster::Cluster(ClusterOptions options, const PlacementRegistry* registry)
   cost_ctx.has_llc = options_.llc_words > 0;
   cost_model_ = latency::CostModelRegistry::global().build(options_.cost_model, cost_ctx);
   policy_ = reg.find(options_.placement).build();
+  if (options_.tenant_policy == "miss-aware") {
+    miss_aware_ = true;
+  } else if (options_.tenant_policy != "round-robin") {
+    throw Error("unknown tenant policy '" + options_.tenant_policy +
+                "'; valid tenant policies: miss-aware round-robin");
+  }
   admission_ = session::AdmissionRegistry::global().build(options_.admission,
                                                           options_.budget);
   if (options_.band_words < options_.l1.block_words ||
@@ -343,7 +349,9 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   }
   const std::int64_t effective_m = m > 0 ? m : options_.l1.capacity_words;
 
-  // Price the candidate before building anything (see Server::admit).
+  // Price the candidate before building anything: the admission decision
+  // needs its layout footprint, which is a pure function of the graph and
+  // the online policy's buffer capacities.
   schedule::OnlineContext ctx;
   ctx.m = effective_m;
   const auto pricing_policy =
@@ -361,6 +369,9 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   arequest.layout_words = layout_words;
   bool evicted_for_room = false;
   while (!admission_->admits(current_load(), arequest)) {
+    // Make room by evicting the least-recently-active idle session; a
+    // session doing work is never a victim (it would have to rehydrate
+    // before its very next step).
     const session::SwapManager::SessionKey victim =
         options_.swap
             ? swap_.victim_if([this](session::SwapManager::SessionKey k) {
@@ -377,10 +388,10 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   }
   if (evicted_for_room) ++lifecycle_.admissions_queued;
 
-  // Same banding scheme as core::Server: each session gets a disjoint
-  // band_words-wide slab below the engines' external-stream bands, so
-  // sessions contend for cache blocks on whatever worker (and shared LLC)
-  // they meet instead of silently aliasing. Closed sessions' bands recycle.
+  // Each session gets a disjoint band_words-wide slab below the engines'
+  // external-stream bands, so sessions contend for cache blocks on whatever
+  // worker (and shared LLC) they meet instead of silently aliasing. Closed
+  // sessions' bands recycle, smallest free band first (deterministic).
   std::int64_t band;
   if (!free_bands_.empty()) {
     band = *free_bands_.begin();
@@ -420,15 +431,15 @@ TenantId Cluster::admit(std::string name, const sdf::SdfGraph& g,
   const auto [it, inserted] = tenants_.emplace(id, std::move(t));
   CCS_CHECK(inserted, "tenant id reused");
   ++next_id_;
-  workers_[static_cast<std::size_t>(home)].tenants.push_back(id);
+  workers_[static_cast<std::size_t>(home)].tenants.push_back({id, &it->second});
   ++lifecycle_.sessions_opened;
   lifecycle_.on_resident(layout_words);
   swap_.admit(id);
   // Seed the footprint estimate from the gain-analysis layout (state plus
   // channel rings) -- the paper's working-set bound made concrete. The
-  // estimator is indexed by tenant id (monotonic, one add per admission).
+  // estimator is keyed by tenant id and forgets the session on close().
   const runtime::FootprintSample seed = it->second.stream->footprint_sample();
-  estimator_.add_session(seed.layout_words, seed.state_words);
+  estimator_.add_session(id, seed.layout_words, seed.state_words);
   return id;
 }
 
@@ -482,8 +493,9 @@ void Cluster::swap_out_tenant(TenantId id, Tenant& t) {
   snapshot.totals = state.totals;
   snapshot.steps = state.steps;
   session::SwapImage image = session::SwapImage::pack(snapshot);
-  // Same round-trip self-check as Server::swap_out_tenant: the image is the
-  // session's only copy once the host objects are freed.
+  // The packed image is the only copy of the session once the host objects
+  // are freed; audit builds prove the codec round-trips this very snapshot
+  // before the originals are destroyed.
   CCS_AUDIT(image.unpack() == snapshot,
             "swap image does not round-trip the session snapshot");
   swap_.swap_out(id, std::move(image));
@@ -577,10 +589,9 @@ void Cluster::close(TenantId id) {
     retired_ += t.totals;
     --lifecycle_.swapped_sessions;
   }
-  Worker& home = workers_[static_cast<std::size_t>(t.worker)];
-  home.tenants.erase(std::find(home.tenants.begin(), home.tenants.end(), id));
-  home.cursor = 0;  // keep the rotation point deterministic after the edit
+  workers_[static_cast<std::size_t>(t.worker)].remove(id);
   swap_.erase(id);
+  estimator_.remove_session(id);
   free_bands_.insert(t.band);
   tenants_.erase(it);
   ++lifecycle_.sessions_closed;
@@ -597,23 +608,58 @@ std::int64_t Cluster::push(TenantId id, std::int64_t items) {
   return accepted;
 }
 
+bool Cluster::step_tenant(Worker& worker, Tenant& t) {
+  const StepResult r = t.stream->step();
+  if (!r.progressed()) {
+    t.idle = true;  // stays blocked until the controlling thread pushes
+    return false;
+  }
+  // Virtual time advances by the step's modeled cost (== firings under
+  // the "uniform" model, preserving the pre-latency clock bit-for-bit).
+  worker.busy += r.run.cost;
+  worker.latency.record(r.run.cost);
+  ++worker.steps;
+  t.last_misses = r.run.cache.misses;
+  t.last_firings = r.run.firings;
+  return true;
+}
+
 bool Cluster::worker_step(WorkerId w) {
   Worker& worker = workers_[static_cast<std::size_t>(w)];
+  if (miss_aware_) {
+    // Cache affinity: the runnable tenant whose last step missed least per
+    // firing (its working set is the one resident), ties to the lowest id.
+    // Rates compare exactly by cross-multiplication; a tenant that has not
+    // fired yet counts as rate 0. A pick that turns out blocked is parked
+    // as idle and the scan repeats.
+    const auto rate_less = [](const Tenant& a, const Tenant& b) {
+      const std::int64_t af = std::max<std::int64_t>(a.last_firings, 1);
+      const std::int64_t bf = std::max<std::int64_t>(b.last_firings, 1);
+      return a.last_misses * bf < b.last_misses * af;
+    };
+    for (;;) {
+      TenantId best_id = kNoTenant;
+      Tenant* best = nullptr;
+      for (const Worker::Slot& slot : worker.tenants) {
+        Tenant& t = *slot.tenant;
+        if (t.idle) continue;
+        if (best == nullptr || rate_less(t, *best) ||
+            (!rate_less(*best, t) && slot.id < best_id)) {
+          best_id = slot.id;
+          best = &t;
+        }
+      }
+      if (best == nullptr) return false;
+      if (step_tenant(worker, *best)) return true;
+    }
+  }
+  // Round-robin: rotate from the cursor to the next non-idle tenant.
   const std::size_t n = worker.tenants.size();
   for (std::size_t probe = 0; probe < n; ++probe) {
     const std::size_t slot = (worker.cursor + probe) % n;
-    Tenant& t = tenants_.at(worker.tenants[slot]);
+    Tenant& t = *worker.tenants[slot].tenant;
     if (t.idle) continue;  // swapped tenants are idle, so never stepped
-    const StepResult r = t.stream->step();
-    if (!r.progressed()) {
-      t.idle = true;  // stays blocked until the controlling thread pushes
-      continue;
-    }
-    // Virtual time advances by the step's modeled cost (== firings under
-    // the "uniform" model, preserving the pre-latency clock bit-for-bit).
-    worker.busy += r.run.cost;
-    worker.latency.record(r.run.cost);
-    ++worker.steps;
+    if (!step_tenant(worker, t)) continue;
     worker.cursor = (slot + 1) % n;
     return true;
   }
@@ -643,7 +689,7 @@ std::int64_t Cluster::run_threads() {
   // One thread per worker, each running the same worker_step loop virtual
   // time runs. A worker touches only its own Worker struct, its own
   // tenants, and its own private L1; the shared LLC is the only contended
-  // state and SharedLlcCache serializes it internally.
+  // state and its stripes lock internally (ShardedLruCache).
   std::vector<std::int64_t> executed(static_cast<std::size_t>(worker_count()), 0);
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(worker_count()));
@@ -671,10 +717,9 @@ std::vector<ClusterWorkerStatus> Cluster::worker_statuses() const {
     s.misses = pool_.worker_stats(w).misses;
     s.l1_words = options_.l1.capacity_words;
     if (adaptive_active()) {
-      for (const TenantId id : worker.tenants) {
-        if (id < estimator_.session_count() && estimator_.hot(id) &&
-            tenants_.at(id).stream != nullptr) {
-          s.hot_words += estimator_.footprint_words(id);
+      for (const Worker::Slot& slot : worker.tenants) {
+        if (estimator_.hot(slot.id) && slot.tenant->stream != nullptr) {
+          s.hot_words += estimator_.footprint_words(slot.id);
         }
       }
     }
@@ -696,7 +741,7 @@ PlacementRequest Cluster::request_for(TenantId id) const {
   for (WorkerId w = 0; w < worker_count(); ++w) {
     request.resident_blocks.push_back(pool_.resident_blocks(w, t.stream->layout_span()));
   }
-  if (adaptive_active() && id < estimator_.session_count()) {
+  if (adaptive_active()) {
     request.footprint_words = estimator_.footprint_words(id);
     request.hot = estimator_.hot(id);
   }
@@ -796,11 +841,8 @@ void Cluster::migrate(TenantId id, WorkerId target) {
     ++migration_noops_;
     return;
   }
-  Worker& from = workers_[static_cast<std::size_t>(t.worker)];
-  from.tenants.erase(std::find(from.tenants.begin(), from.tenants.end(), id));
-  from.cursor = 0;  // keep the rotation point deterministic after the edit
-  Worker& to = workers_[static_cast<std::size_t>(target)];
-  to.tenants.push_back(id);
+  workers_[static_cast<std::size_t>(t.worker)].remove(id);
+  workers_[static_cast<std::size_t>(target)].tenants.push_back({id, &t});
   t.stream->migrate_cache(pool_.worker_cache(target));
   t.worker = target;
   ++t.migrations;

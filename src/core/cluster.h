@@ -1,9 +1,20 @@
-// core::Cluster -- a multicore serving cluster: sharded workers with
-// affinity-aware placement over a shared cache hierarchy.
+// core::Cluster -- THE multi-tenant serving core: many core::Stream
+// sessions timesharing a cache hierarchy, with admission, a swap tier, and
+// affinity-aware placement.
 //
-// Where core::Server timeshares many Stream sessions over ONE cache, a
-// Cluster spreads them over a runtime::WorkerPool: N workers, each owning a
-// private L1, all backed by an optional shared LLC. Placement -- which
+// The paper's cost model is about a single application owning the cache;
+// serving-scale reality is several streaming applications sharing one. A
+// Cluster spreads sessions over a runtime::WorkerPool: N workers, each
+// owning a private L1, all backed by an optional shared LLC. One worker with
+// no LLC (ClusterOptions{workers = 1, l1 = <the cache>, llc_words = 0}) is
+// the single shared cache: every access belongs to exactly one tenant's
+// step, so per-tenant counters sum to the cache's own, and each tenant's
+// misses rising above its solo baseline is the paper's cache-contention
+// story at serving scale.
+//
+// Each worker multiplexes its tenants by ClusterOptions::tenant_policy:
+// "round-robin" (fair timesharing) or "miss-aware" (cache affinity: prefer
+// the tenant whose working set is resident). Placement -- which
 // worker serves which session -- is the multicore question the paper's §7
 // remark raises and the communication-affinity literature (Zaourar et al.,
 // Kandemir & Chen) studies: keep a session's working set on the worker
@@ -49,14 +60,26 @@
 // band (ClusterOptions::band_words, default 2^36), so sessions contend for
 // cache blocks instead of aliasing, on whichever worker they land.
 //
-// Session lifecycle mirrors core::Server: admit() consults a
-// session::AdmissionPolicy, close() retires a session forever (folding its
-// totals into the report's `retired` aggregate and recycling its band), and
-// with the swap tier enabled idle sessions serialize to compact
-// session::SwapImages and rehydrate transparently on the next push --
-// always back onto the worker that last served them, so placement
-// decisions, per-tenant counters, and report JSON are bit-identical
-// between swap-on and swap-off runs.
+// Session lifecycle (src/session/): sessions open (admit), retire (close),
+// and -- when the swap tier is enabled -- idle out of residency entirely:
+//
+//   * admit() asks the session::AdmissionPolicy (ClusterOptions::admission)
+//     whether another resident session fits the budget. A refusal evicts
+//     the least-recently-active *idle* session to the swap tier and retries
+//     (counted admissions_queued); with no victim available the admission
+//     is rejected (admissions_rejected) and admit() returns kNoTenant. A
+//     freshly admitted session has no input yet, so it counts as idle.
+//   * A swapped session is a compact session::SwapImage plus the inputs
+//     needed to rebuild its Stream; it keeps its tenant id, its address
+//     band, and its worker (as an idle tenant), so rehydration --
+//     transparent, on the next push -- rebuilds the engine without a single
+//     cache access, and placement decisions, per-tenant counters, and
+//     report JSON are bit-identical between swap-on and swap-off runs.
+//   * close() retires a session forever: its totals fold into the report's
+//     `retired` aggregate, its address band returns to the free list, and
+//     its id is rejected from then on. Memory is therefore O(live), not
+//     O(ever-admitted) -- the property bench/micro_churn.cc measures at
+//     1,000,000 logical sessions.
 //
 //   core::ClusterOptions copts;
 //   copts.workers = 4;
@@ -72,6 +95,7 @@
 //   cluster.report().write_json(std::cout);
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -81,7 +105,6 @@
 #include <string>
 #include <vector>
 
-#include "core/server.h"
 #include "core/stream.h"
 #include "latency/cost_model.h"
 #include "latency/histogram.h"
@@ -89,9 +112,18 @@
 #include "runtime/run_result.h"
 #include "runtime/worker_pool.h"
 #include "schedule/parallel.h"
+#include "session/admission.h"
+#include "session/lifecycle.h"
+#include "session/swap.h"
 #include "util/registry.h"
 
 namespace ccs::core {
+
+/// Tenant id within one Cluster: assigned monotonically at admission and
+/// never reused, so a closed session's id stays invalid forever.
+using TenantId = std::int32_t;
+
+inline constexpr TenantId kNoTenant = -1;
 
 /// Dense worker index within one Cluster. Valid ids are 0..worker_count()-1.
 using WorkerId = std::int32_t;
@@ -178,14 +210,21 @@ struct ClusterOptions {
   iomodel::CacheConfig l1{4096, 8};         ///< Per-worker private cache.
   std::int64_t llc_words = 0;               ///< Shared LLC; 0 = none.
 
-  /// LLC lock strategy (runtime::WorkerPoolOptions::llc_shards): 0 = flat
-  /// LruCache behind one mutex; >= 1 = address-striped ShardedLruCache with
-  /// per-stripe locks (power of two). Model counters are unaffected at 1
+  /// LLC lock stripes (runtime::WorkerPoolOptions::llc_shards): the LLC is
+  /// an address-striped ShardedLruCache with per-stripe locks; 0 means one
+  /// stripe, otherwise a power of two. Model counters are unaffected at 1
   /// stripe and per-tenant counters are unaffected at any stripe count;
   /// wall-clock thread-mode throughput is what sharding buys at 8+ workers.
   std::int32_t llc_shards = 0;
 
   std::string placement = "round-robin";    ///< PlacementRegistry key.
+
+  /// Which runnable tenant a worker steps next: "round-robin" (fair
+  /// timesharing -- rotate through the worker's tenants in placement order)
+  /// or "miss-aware" (cache affinity -- the tenant whose last step missed
+  /// least per firing, ties to the lowest id). Any other key throws
+  /// ccs::Error listing the valid tenant policies.
+  std::string tenant_policy = "round-robin";
 
   /// Automatic-migration triggers for adaptive placement keys; ignored by
   /// static policies. footprint.budget_words defaults to the L1 capacity.
@@ -196,7 +235,11 @@ struct ClusterOptions {
   std::string admission = "unbounded";
   session::AdmissionBudget budget;
 
-  /// Enable the idle-session swap tier (see core::Server::swap).
+  /// Enable the idle-session swap tier: an admission the policy refuses
+  /// evicts the least-recently-active idle session (serialized to a
+  /// session::SwapImage) and retries; swapped sessions rehydrate
+  /// transparently on their next push(). Off, refused admissions are simply
+  /// rejected.
   bool swap = false;
 
   /// Simulated address-space words reserved per open session; must be a
@@ -250,7 +293,7 @@ struct ClusterReport {
   std::int64_t swap_stored_bytes = 0;        ///< Swap-tier footprint right now.
   std::int64_t swap_peak_stored_bytes = 0;
   iomodel::CacheStats llc;                   ///< Shared-LLC counters (zero when absent).
-  std::int32_t llc_shards = 0;               ///< LLC stripes (0 = single-mutex backend).
+  std::int32_t llc_shards = 0;               ///< Configured LLC stripes (0 = one).
   std::string placement;                     ///< Policy key the cluster ran.
   std::string cost_model;                    ///< Cost-model key pricing the steps.
   std::int64_t slo_p99 = 0;                  ///< Target p99 (0 = no SLO set).
@@ -296,10 +339,10 @@ class Cluster {
   TenantId admit(std::string name, const sdf::SdfGraph& g, const partition::Partition& p,
                  StreamOptions options = {}, std::int64_t m = 0);
 
-  /// Retires session `id` forever (see Server::close): totals fold into
-  /// the report's `retired` aggregate, the band returns to the free list,
-  /// and the id is rejected from then on. Throws ccs::Error naming the live
-  /// tenants for an unknown or already-closed id.
+  /// Retires session `id` forever: totals fold into the report's `retired`
+  /// aggregate, the engine (or swap image) is freed, the band returns to
+  /// the free list, and the id is rejected from then on. Throws ccs::Error
+  /// naming the live tenants for an unknown or already-closed id.
   void close(TenantId id);
 
   /// Convenience: admit a Planner plan (graph and partition from the plan's
@@ -312,9 +355,10 @@ class Cluster {
   }
   std::int32_t worker_count() const noexcept { return pool_.size(); }
 
-  /// The tenant's session (for pushes, polls, or direct stepping).
-  /// Rehydrates a swapped session first; the const overload throws instead
-  /// (a const cluster cannot rebuild the stream).
+  /// The tenant's session (for polls or direct stepping; feed arrivals
+  /// through push() so the session wakes). Rehydrates a swapped session
+  /// first; the const overload throws instead (a const cluster cannot
+  /// rebuild the stream).
   Stream& stream(TenantId id);
   const Stream& stream(TenantId id) const;
 
@@ -336,6 +380,10 @@ class Cluster {
 
   /// Residency + admission counters (live view of the report's lifecycle).
   const session::LifecycleCounters& lifecycle() const noexcept { return lifecycle_; }
+
+  /// The footprint estimator placement consults: one record per open
+  /// session, keyed by TenantId.
+  const placement::FootprintEstimator& footprints() const noexcept { return estimator_; }
 
   /// Worker currently serving tenant `id`.
   WorkerId worker_of(TenantId id) const;
@@ -398,12 +446,16 @@ class Cluster {
     std::string name;
     std::unique_ptr<Stream> stream;  ///< Null while swapped out.
     WorkerId worker = kNoWorker;
-    bool idle = false;  ///< Known-blocked until new arrivals.
+    bool idle = true;  ///< Known-blocked until new arrivals (fresh: no input yet).
     std::int64_t migrations = 0;
+    std::int64_t last_misses = 0;   ///< Last progressing step's L1 misses...
+    std::int64_t last_firings = 0;  ///< ...and firings (the miss-aware signal).
     std::int64_t band = 0;          ///< Address-band index.
     std::int64_t layout_words = 0;  ///< Resident footprint (state + rings).
 
-    // Rebuild inputs for rehydration (see Server::Tenant).
+    // Rebuild inputs for rehydration: a Stream is a pure function of
+    // (graph, partition, m, options) plus the mutable state in the swap
+    // image, so keeping these makes the swap tier transparent.
     sdf::SdfGraph graph;
     partition::Partition partition;
     StreamOptions stream_options;  ///< With engine.address_base baked in.
@@ -418,17 +470,36 @@ class Cluster {
   /// Per-worker scheduling state. In thread mode each worker's struct is
   /// touched only by its own thread (tenants never span workers).
   struct Worker {
-    std::vector<TenantId> tenants;  ///< Placement, in arrival-at-worker order.
+    /// One tenant placed here. `tenant` points into tenants_ (std::map
+    /// nodes never move), so the step loop does no id lookups.
+    struct Slot {
+      TenantId id;
+      Tenant* tenant;
+    };
+    std::vector<Slot> tenants;      ///< Placement, in arrival-at-worker order.
     std::size_t cursor = 0;         ///< Rotation point into `tenants`.
     std::int64_t busy = 0;          ///< Modeled cycles executed here (the virtual clock).
     std::int64_t steps = 0;         ///< Tenant steps granted here.
     latency::Histogram latency;     ///< Step costs executed here.
+
+    /// Unplaces `id`. The rotation restarts at the first tenant, keeping
+    /// the order deterministic after the edit.
+    void remove(TenantId id) {
+      tenants.erase(std::find_if(tenants.begin(), tenants.end(),
+                                 [id](const Slot& slot) { return slot.id == id; }));
+      cursor = 0;
+    }
   };
 
   /// THE shared code path of both execution modes: one multiplexing
-  /// decision on worker `w` -- rotate to the next non-idle tenant placed
-  /// here, step it, account the work. False when every tenant here is idle.
+  /// decision on worker `w` -- pick the next non-idle tenant placed here by
+  /// the tenant policy, step it, account the work. False when every tenant
+  /// here is idle.
   bool worker_step(WorkerId w);
+
+  /// Steps `t` on `worker` and accounts the work; a tenant that cannot
+  /// progress is marked idle instead and false is returned.
+  bool step_tenant(Worker& worker, Tenant& t);
 
   Tenant& tenant(TenantId id);
   const Tenant& tenant(TenantId id) const;
@@ -463,6 +534,7 @@ class Cluster {
   runtime::WorkerPool pool_;
   latency::CostModel cost_model_;  ///< Prices every tenant step; streams point at it.
   std::unique_ptr<PlacementPolicy> policy_;
+  bool miss_aware_ = false;  ///< ClusterOptions::tenant_policy, resolved once.
   std::unique_ptr<session::AdmissionPolicy> admission_;
   std::map<TenantId, Tenant> tenants_;  ///< Open sessions only, O(live+swapped).
   TenantId next_id_ = 0;                ///< Ids are never reused.

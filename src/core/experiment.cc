@@ -12,7 +12,6 @@
 #include <utility>
 
 #include "core/cluster.h"
-#include "core/server.h"
 #include "iomodel/cache.h"
 #include "schedule/schedule.h"
 #include "util/error.h"
@@ -279,35 +278,38 @@ void Experiment::run_online_cell(const Coordinate& at, CellResult& cell) const {
   const workloads::ArrivalPattern pattern = arrivals_->build(at.arrival);
   std::int64_t buffer_words = 0;  // per-tenant budget under the online rule
   const auto measure = [&]() {
-    ServerOptions server_opts;
-    server_opts.cache = sim;
-    server_opts.tenant_policy = spec_.online.tenant_policy;
-    Server server(server_opts);
+    // One worker with no LLC: every tenant on the one shared cache.
+    ClusterOptions copts;
+    copts.workers = 1;
+    copts.l1 = sim;
+    copts.llc_words = 0;
+    copts.tenant_policy = spec_.online.tenant_policy;
+    Cluster cluster(copts);
     StreamOptions stream_opts;
     stream_opts.policy = at.strategy;
     stream_opts.engine = spec_.engine;
     for (std::int32_t t = 0; t < at.tenants; ++t) {
-      server.admit("tenant-" + std::to_string(t), graph, plan.partition, stream_opts,
-                   at.cache.capacity_words);
+      cluster.admit("tenant-" + std::to_string(t), graph, plan.partition, stream_opts,
+                    at.cache.capacity_words);
     }
-    if (server.tenant_count() > 0) {
+    if (cluster.tenant_count() > 0) {
       buffer_words = 0;
-      for (const std::int64_t cap : server.stream(0).policy().buffer_caps()) {
+      for (const std::int64_t cap : cluster.stream(0).policy().buffer_caps()) {
         buffer_words += cap;
       }
     }
     for (std::int64_t tick = 0; tick < spec_.online.ticks; ++tick) {
       const std::int64_t items = pattern(tick);
-      for (TenantId t = 0; t < server.tenant_count(); ++t) server.push(t, items);
-      server.run_until_idle();
+      for (TenantId t = 0; t < cluster.tenant_count(); ++t) cluster.push(t, items);
+      cluster.run_until_idle();
     }
-    server.drain_all();
-    return server.report();
+    cluster.drain_all();
+    return cluster.report();
   };
 
-  ServerReport report = measure();
+  ClusterReport report = measure();
   for (std::int32_t rep = 1; rep < spec_.repetitions; ++rep) {
-    const ServerReport again = measure();
+    const ClusterReport again = measure();
     bool identical = again.aggregate == report.aggregate &&
                      again.tenants.size() == report.tenants.size();
     for (std::size_t i = 0; identical && i < report.tenants.size(); ++i) {

@@ -41,13 +41,13 @@
 namespace ccs::core {
 
 /// The online-serving slice of a sweep: arrival patterns x tenant counts,
-/// each cell a multi-tenant core::Server scenario (N identical tenants of
+/// each cell a one-worker core::Cluster with no LLC (N identical tenants of
 /// the workload on one shared cache, fed by the pattern for `ticks` ticks,
 /// then drained). Empty `arrivals` disables online cells.
 struct OnlineSweep {
   std::vector<std::string> arrivals;        ///< workloads::ArrivalRegistry keys.
   std::vector<std::int32_t> tenant_counts{1};
-  std::string tenant_policy = "round-robin";  ///< core::TenantRegistry key.
+  std::string tenant_policy = "round-robin";  ///< ClusterOptions::tenant_policy.
   std::string online_policy = "auto";         ///< schedule::OnlineRegistry key.
   std::int64_t ticks = 128;                   ///< Pushes per tenant.
 };
@@ -69,9 +69,8 @@ struct ClusterSweep {
   /// 0 runs the workers on independent flat caches.
   std::int64_t llc_factor = 8;
 
-  /// LLC lock strategy for every cluster cell: 0 = single-mutex flat LLC,
-  /// >= 1 = address-striped ShardedLruCache with that many stripes (power
-  /// of two). Ignored when llc_factor == 0. See WorkerPoolOptions.
+  /// LLC lock stripes for every cluster cell (power of two; 0 = one
+  /// stripe). Ignored when llc_factor == 0. See WorkerPoolOptions.
   std::int32_t llc_shards = 0;
 
   std::int64_t ticks = 128;                   ///< Pushes per tenant.

@@ -116,6 +116,9 @@ class LruCache final : public CacheSim {
  public:
   explicit LruCache(const CacheConfig& config);
 
+  // A worker's private level runs this cache's bulk loop directly.
+  friend class SharedLlcCache;
+
   void access(Addr addr, AccessMode mode) override;
   void flush() override;
   bool contains(Addr addr) const override;

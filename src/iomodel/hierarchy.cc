@@ -54,24 +54,9 @@ void check_llc_geometry(const CacheConfig& llc, const CacheConfig& l1) {
 
 }  // namespace
 
-SharedLlcCache::SharedLlcCache(const CacheConfig& private_config, LruCache* llc,
-                               Mutex* llc_mutex)
-    : CacheSim(private_config.block_words),
-      l1_(private_config),
-      llc_(llc),
-      llc_mutex_(llc_mutex) {
-  CCS_EXPECTS((llc == nullptr) == (llc_mutex == nullptr),
-              "a shared LLC and its mutex must be provided together");
-  if (llc_ != nullptr) check_llc_geometry(llc_->config(), private_config);
-}
-
 SharedLlcCache::SharedLlcCache(const CacheConfig& private_config, ShardedLruCache* llc)
-    : CacheSim(private_config.block_words),
-      l1_(private_config),
-      llc_(nullptr),
-      llc_mutex_(nullptr),
-      sharded_llc_(llc) {
-  if (sharded_llc_ != nullptr) check_llc_geometry(sharded_llc_->config(), private_config);
+    : CacheSim(private_config.block_words), l1_(private_config), llc_(llc) {
+  if (llc_ != nullptr) check_llc_geometry(llc_->config(), private_config);
 }
 
 void SharedLlcCache::access(Addr addr, AccessMode mode) {
@@ -80,6 +65,12 @@ void SharedLlcCache::access(Addr addr, AccessMode mode) {
 }
 
 void SharedLlcCache::do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) {
+  if (llc_ == nullptr) {
+    // No shared level: the private LRU's bulk path is the whole story (and
+    // bit-identical to probing block by block -- the bulk≡scalar gate).
+    l1_.LruCache::do_access_blocks(first, count, mode);
+    return;
+  }
   for (BlockId b = first, e = first + count; b != e; ++b) probe_block(b, mode);
 }
 

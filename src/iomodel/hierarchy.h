@@ -19,8 +19,6 @@
 
 #include "iomodel/cache.h"
 #include "iomodel/sharded_cache.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 
 namespace ccs::iomodel {
 
@@ -74,26 +72,17 @@ class HierarchyCache final : public CacheSim {
 /// additionally probes-and-installs the shared LLC (inclusive, like
 /// HierarchyCache); that probe is the only synchronization a pool of worker
 /// threads needs, because private levels are single-owner by construction.
-/// Two shared-LLC backends are supported:
+/// The shared LLC is a ShardedLruCache, which locks only the stripe owning
+/// the missed block internally, so workers missing on different stripes
+/// proceed in parallel.
 ///
-///  * a flat LruCache guarded by a pool-wide `llc_mutex` (the original
-///    single-mutex design -- every cross-worker miss serializes), or
-///  * a ShardedLruCache, which locks only the stripe owning the missed
-///    block internally, so workers missing on different stripes proceed in
-///    parallel.
-///
-/// With a null LLC the class degenerates to a plain private LRU, so one
-/// worker type covers the flat-cache and both shared-LLC configurations.
+/// With a null LLC the class degenerates to a plain private LRU -- bulk
+/// accesses then run the LruCache's own bulk path -- so one worker type
+/// covers the flat-cache and the shared-LLC configurations.
 class SharedLlcCache final : public CacheSim {
  public:
-  /// `llc` and `llc_mutex` must either both be provided (and outlive this
-  /// cache) or both be null; the LLC must share the private block size and
-  /// be strictly larger than the private level.
-  SharedLlcCache(const CacheConfig& private_config, LruCache* llc, Mutex* llc_mutex);
-
-  /// Sharded backend: `llc` (may be null for no LLC) locks per stripe
-  /// internally, so no pool-wide mutex exists at all. Same geometry
-  /// requirements as the single-mutex ctor.
+  /// `llc` (null for no shared level) must outlive this cache, share the
+  /// private block size, and be strictly larger than the private level.
   SharedLlcCache(const CacheConfig& private_config, ShardedLruCache* llc);
 
   void access(Addr addr, AccessMode mode) override;
@@ -104,7 +93,7 @@ class SharedLlcCache final : public CacheSim {
   const CacheStats& stats() const override { return l1_.stats(); }
   const CacheConfig& config() const override { return l1_.config(); }
 
-  bool has_llc() const noexcept { return llc_ != nullptr || sharded_llc_ != nullptr; }
+  bool has_llc() const noexcept { return llc_ != nullptr; }
 
   /// Resident blocks in the private level (for placement-affinity probes).
   LruCache& private_level() noexcept { return l1_; }
@@ -114,23 +103,15 @@ class SharedLlcCache final : public CacheSim {
   void do_access_blocks(BlockId first, std::int64_t count, AccessMode mode) override;
 
  private:
-  /// Private probe; on a miss, forwards to the shared LLC -- under the
-  /// pool-wide mutex (flat backend) or the owning stripe's internal lock
-  /// (sharded backend).
+  /// Private probe; on a miss, forwards to the shared LLC (under the owning
+  /// stripe's internal lock).
   void probe_block(BlockId block, AccessMode mode) {
     if (l1_.access_block(block, mode)) return;
-    if (sharded_llc_ != nullptr) {
-      sharded_llc_->access_block(block, mode);
-    } else if (llc_ != nullptr) {
-      const MutexLock lock(*llc_mutex_);
-      llc_->access_block(block, mode);
-    }
+    if (llc_ != nullptr) llc_->access_block(block, mode);
   }
 
   LruCache l1_;
-  LruCache* llc_ CCS_PT_GUARDED_BY(llc_mutex_);  ///< Pointee guarded by the pool mutex.
-  Mutex* llc_mutex_;
-  ShardedLruCache* sharded_llc_ = nullptr;
+  ShardedLruCache* llc_ = nullptr;
 };
 
 }  // namespace ccs::iomodel

@@ -1,10 +1,11 @@
-// Address-striped sharded LRU -- the contention-free shared-LLC backend.
+// Address-striped sharded LRU -- the shared-LLC backend of every
+// runtime::WorkerPool.
 //
-// A SharedLlcCache/WorkerPool configuration with one flat LruCache behind
-// one mutex serializes every private-level miss of every worker; model
-// counters still scale (BENCH_PR5), but wall-clock stops right where the
-// paper's §7 multicore analysis begins. ShardedLruCache splits the flat-slab
-// LruCache design into `shards` independent stripes -- block id -> stripe by
+// One flat LruCache behind one mutex would serialize every private-level
+// miss of every worker; model counters still scale, but wall-clock stops
+// right where the paper's §7 multicore analysis begins. ShardedLruCache
+// splits the flat-slab LruCache design into `shards` independent stripes
+// (one stripe is the flat cache under a single lock) -- block id -> stripe by
 // low bits (`block & (shards-1)`, the way real LLC slices stripe physical
 // addresses) -- each stripe owning its own slab, open-addressing table,
 // recency list, statistics, and lock. Probes touch exactly one stripe, so
@@ -22,7 +23,7 @@
 //    counters -- and their sum -- are bit-identical across repeat runs under
 //    a serialized (virtual-time) driver; under real threads the aggregate
 //    access count still equals the summed private misses, and the hit/miss
-//    split is interleaving-dependent exactly as for the single-mutex LLC.
+//    split is interleaving-dependent (as for any LLC shared by threads).
 //  * The CacheSim bulk path walks each stripe's sub-sequence in ascending
 //    block order under one lock acquisition per stripe; stripes are
 //    independent, so this is bit-identical to the per-block scalar order.
@@ -65,7 +66,7 @@ class ShardedLruCache final : public CacheSim {
 
   /// Touches one whole block under its stripe's lock; returns true on a
   /// hit. This is the thread-safe probe SharedLlcCache forwards private
-  /// misses to -- no pool-wide mutex required.
+  /// misses to.
   bool access_block(BlockId block, AccessMode mode) {
     Shard& s = shard(shard_of(block));
     const MutexLock lock(s.mutex);

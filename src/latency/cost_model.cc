@@ -11,8 +11,8 @@ namespace {
 
 /// Deterministic contenders-per-stripe estimate for the llc-shared model:
 /// of `workers` cores, up to workers - 1 others can collide with a given
-/// miss, spread over the LLC's lock stripes (a flat single-mutex backend is
-/// one stripe). Pure configuration -- measured stripe occupancy would vary
+/// miss, spread over the LLC's lock stripes (llc_shards = 0 is one
+/// stripe). Pure configuration -- measured stripe occupancy would vary
 /// with thread interleaving and break the determinism gates.
 std::int64_t contenders_per_stripe(const CostContext& ctx) {
   const std::int64_t others = std::max(0, ctx.workers - 1);

@@ -1,5 +1,7 @@
 #include "runtime/worker_pool.h"
 
+#include <algorithm>
+
 #include "util/contracts.h"
 #include "util/error.h"
 #include "util/int_math.h"
@@ -21,28 +23,16 @@ WorkerPool::WorkerPool(WorkerPoolOptions options) : options_(options) {
       throw Error("shared LLC must be strictly larger than a worker's private cache");
     }
     const iomodel::CacheConfig llc_config{options_.llc_words, options_.l1.block_words};
-    if (options_.llc_shards >= 1) {
-      if (!is_pow2(options_.llc_shards)) {
-        throw Error("LLC shard count must be a power of two");
-      }
-      if (llc_config.capacity_blocks() < options_.llc_shards) {
-        throw Error("LLC too small: every shard needs at least one block");
-      }
-      sharded_llc_ =
-          std::make_unique<iomodel::ShardedLruCache>(llc_config, options_.llc_shards);
-    } else {
-      llc_ = std::make_unique<iomodel::LruCache>(llc_config);
+    const std::int32_t stripes = std::max(1, options_.llc_shards);
+    if (!is_pow2(stripes)) throw Error("LLC shard count must be a power of two");
+    if (llc_config.capacity_blocks() < stripes) {
+      throw Error("LLC too small: every shard needs at least one block");
     }
+    llc_ = std::make_unique<iomodel::ShardedLruCache>(llc_config, stripes);
   }
   workers_.reserve(static_cast<std::size_t>(options_.workers));
   for (std::int32_t w = 0; w < options_.workers; ++w) {
-    if (sharded_llc_ != nullptr) {
-      workers_.push_back(
-          std::make_unique<iomodel::SharedLlcCache>(options_.l1, sharded_llc_.get()));
-    } else {
-      workers_.push_back(std::make_unique<iomodel::SharedLlcCache>(
-          options_.l1, llc_.get(), llc_ != nullptr ? &llc_mutex_ : nullptr));
-    }
+    workers_.push_back(std::make_unique<iomodel::SharedLlcCache>(options_.l1, llc_.get()));
   }
 }
 
@@ -58,10 +48,6 @@ const iomodel::SharedLlcCache& WorkerPool::worker_cache(std::int32_t w) const {
 
 const iomodel::CacheStats& WorkerPool::llc_stats() const {
   CCS_EXPECTS(has_llc(), "pool has no shared LLC");
-  if (sharded_llc_ != nullptr) return sharded_llc_->stats();
-  // The flat backend's counters live inside the mutex-guarded cache; take
-  // the lock for the read so a stats poll never races an in-flight probe.
-  const MutexLock lock(llc_mutex_);
   return llc_->stats();
 }
 

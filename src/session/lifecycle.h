@@ -1,12 +1,12 @@
 // Session lifecycle accounting: sessions as a managed, bounded resource.
 //
-// The serving layers (core::Server, core::Cluster) historically held every
-// admitted Stream's engine, channels, and queues live forever -- memory was
+// The serving layer (core::Cluster) once held every admitted Stream's
+// engine, channels, and queues live forever -- memory was
 // O(ever-admitted), which caps the "millions of users" goal. This layer
 // names the lifecycle states a session moves through and counts them, so
 // the O(live) claim is machine-checkable from report JSON:
 //
-//     admit()            step()/push() idle      SwapManager evict
+//                 push() / blocked step     SwapManager evict
 //   ┌────────┐  work   ┌────────┐   quiescent  ┌─────────┐
 //   │  LIVE  │ ◄─────► │  IDLE  │ ───────────► │ SWAPPED │
 //   └────────┘         └────────┘              └─────────┘
@@ -17,6 +17,7 @@
 //   │ CLOSED │   (id retired forever; band reusable)
 //   └────────┘
 //
+// admit() opens a session IDLE (it has no input yet); push() makes it LIVE.
 // LIVE and IDLE sessions are *resident*: their Stream (engine + channel
 // rings + counters) occupies host memory and their layout occupies a
 // simulated address band. A SWAPPED session is a compact byte image
@@ -40,8 +41,8 @@ enum class SessionState : std::uint8_t {
 /// Human-readable state name ("live", "idle", "swapped", "closed").
 std::string to_string(SessionState state);
 
-/// Lifecycle counters for one serving endpoint (a Server, or a Cluster's
-/// aggregate). All counts are exact and deterministic; the report JSON
+/// Lifecycle counters for one serving endpoint (a Cluster's aggregate). All
+/// counts are exact and deterministic; the report JSON
 /// writes them verbatim, so repeat-run byte-diffs cover them.
 struct LifecycleCounters {
   std::int64_t sessions_opened = 0;  ///< admit() calls that produced a session.

@@ -146,9 +146,9 @@ TEST(Cluster, ShardedLlcKeepsThreadVirtualDeterminism) {
 }
 
 TEST(Cluster, OneShardLlcIsBitIdenticalToFlatLlc) {
-  // llc_shards = 1 is the flat LruCache geometry behind a different lock:
-  // a virtual-time run must match the single-mutex backend counter-for-
-  // counter, down to the shared-LLC hit/miss split.
+  // llc_shards = 0 and 1 both mean one stripe, which ShardedVsFlat.* gates
+  // bit-identical to a flat LruCache: a virtual-time run must match
+  // counter-for-counter, down to the shared-LLC hit/miss split.
   const Scenario s = four_tenant_scenario();
   const ClusterReport flat = serve(s, 4, "affinity", false, 0);
   const ClusterReport one_shard = serve(s, 4, "affinity", false, 1);

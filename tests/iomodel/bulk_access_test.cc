@@ -77,6 +77,13 @@ std::vector<CachePair> make_pairs(std::int64_t capacity_words) {
       {"sharded1-vs-flat",
        std::make_unique<ShardedLruCache>(CacheConfig{capacity_words, kBlock}, 1),
        std::make_unique<LruCache>(CacheConfig{capacity_words, kBlock})});
+  // A worker's private level with no shared LLC forwards bulk spans to its
+  // LruCache's own bulk loop: it must match a plain LruCache probed one
+  // block at a time.
+  pairs.push_back(
+      {"private-no-llc-vs-flat",
+       std::make_unique<SharedLlcCache>(CacheConfig{capacity_words, kBlock}, nullptr),
+       std::make_unique<LruCache>(CacheConfig{capacity_words, kBlock})});
   // Four stripes: bulk stripe-walk vs per-access scalar order on the same
   // geometry (per-stripe LRU differs from global LRU, so the reference must
   // be another sharded instance).
